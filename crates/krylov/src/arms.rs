@@ -237,37 +237,34 @@ impl Arms {
                 found: a.n_cols(),
             });
         }
-        let mut levels = Vec::new();
-        let mut cur = a.clone();
+        let mut levels: Vec<ArmsLevel> = Vec::new();
         let mut forced = forced_coarse.to_vec();
         for _ in 1..cfg.n_levels.max(1) {
+            let cur = levels.last().map_or(a, |l| &l.reduced);
             if cur.n_rows() <= cfg.min_reduced {
                 break;
             }
-            let gis = group_independent_set(&cur, cfg.group_size, &forced);
+            let gis = group_independent_set(cur, cfg.group_size, &forced);
             if gis.n_ind == 0 {
                 break; // everything pinned: nothing to eliminate
             }
-            let level = build_level(&cur, &gis, cfg)?;
+            let level = build_level(cur, gis, cfg, coupling_solve)?;
             // Coarse-set forced flags carry over to the reduced system.
-            let nc = level.n_coarse();
-            let mut new_forced = vec![false; nc];
-            for k in 0..nc {
-                let old = level.perm.old_of(gis.n_ind + k);
-                new_forced[k] = forced[old];
-            }
-            cur = level.reduced.clone();
-            forced = new_forced;
+            forced = (0..level.n_coarse())
+                .map(|k| forced[level.perm.old_of(level.n_ind + k)])
+                .collect();
             levels.push(level);
         }
-        let last = Ilut::factor(&cur, &cfg.ilut)?;
+        let cur = levels.last().map_or(a, |l| &l.reduced);
+        let last = Ilut::factor(cur, &cfg.ilut)?;
+        let last_n = cur.n_rows();
         parapre_trace::gauge("arms.levels", levels.len() as f64);
-        parapre_trace::gauge("arms.last_n", cur.n_rows() as f64);
+        parapre_trace::gauge("arms.last_n", last_n as f64);
         Ok(Arms {
             n,
             levels,
             last,
-            last_n: cur.n_rows(),
+            last_n,
         })
     }
 
@@ -380,9 +377,19 @@ impl Preconditioner for Arms {
     }
 }
 
+/// `W = B⁻¹ F` for a block-diagonal `B`, given as the LU factors of its
+/// diagonal groups (`group_off` as in [`GroupIndependentSet`]) and the
+/// `n_ind × nc` coupling `F`.
+type CouplingSolve = fn(&Csr, &[DenseLu], &[usize]) -> Csr;
+
 /// Builds one level: permute, split, factor the group blocks, form the
 /// dropped approximate Schur complement.
-fn build_level(a: &Csr, gis: &GroupIndependentSet, cfg: &ArmsConfig) -> Result<ArmsLevel> {
+fn build_level(
+    a: &Csr,
+    gis: GroupIndependentSet,
+    cfg: &ArmsConfig,
+    solve_coupling: CouplingSolve,
+) -> Result<ArmsLevel> {
     let n = a.n_rows();
     let n_ind = gis.n_ind;
     let nc = n - n_ind;
@@ -422,12 +429,37 @@ fn build_level(a: &Csr, gis: &GroupIndependentSet, cfg: &ArmsConfig) -> Result<A
         block_lus.push(DenseLu::factor(block)?);
     }
 
-    // W = B^{-1} F, computed group by group.
-    let mut w = Coo::new(n_ind, nc);
+    // Ĉ = C − E W, with per-row relative dropping.
+    let w = solve_coupling(&f, &block_lus, &gis.group_off);
+    let ew = e.matmul(&w)?;
+    let chat = c.add(-1.0, &ew)?;
+    let reduced = drop_relative(&chat, cfg.drop_tol);
+
+    Ok(ArmsLevel {
+        perm: gis.perm,
+        n_ind,
+        group_off: gis.group_off,
+        block_lus,
+        f,
+        e,
+        c,
+        reduced,
+    })
+}
+
+/// `W = B⁻¹ F`, computed group by group: each group solves its dense
+/// block against the union of the coarse columns its `F` rows touch.
+/// The column map is allocated once for all groups; a group writes the
+/// positions of its own columns before reading them, so entries left
+/// over from earlier groups are never read.
+fn coupling_solve(f: &Csr, block_lus: &[DenseLu], group_off: &[usize]) -> Csr {
+    let mut w = Coo::new(f.n_rows(), f.n_cols());
     let mut rhs_cols: Vec<usize> = Vec::new();
-    for g in 0..n_groups {
-        let lo = gis.group_off[g];
-        let hi = gis.group_off[g + 1];
+    let mut col_pos = vec![usize::MAX; f.n_cols()];
+    let mut rhs: Vec<f64> = Vec::new();
+    for (g, lu) in block_lus.iter().enumerate() {
+        let lo = group_off[g];
+        let hi = group_off[g + 1];
         let m = hi - lo;
         // Union of coarse columns touched by this group's F rows.
         rhs_cols.clear();
@@ -439,12 +471,12 @@ fn build_level(a: &Csr, gis: &GroupIndependentSet, cfg: &ArmsConfig) -> Result<A
         if rhs_cols.is_empty() {
             continue;
         }
-        let mut col_pos = vec![usize::MAX; nc];
         for (k, &j) in rhs_cols.iter().enumerate() {
             col_pos[j] = k;
         }
         // Dense m × |J| right-hand sides.
-        let mut rhs = vec![0.0; m * rhs_cols.len()];
+        rhs.clear();
+        rhs.resize(m * rhs_cols.len(), 0.0);
         for i in lo..hi {
             let (cols, vals) = f.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
@@ -453,7 +485,7 @@ fn build_level(a: &Csr, gis: &GroupIndependentSet, cfg: &ArmsConfig) -> Result<A
         }
         for (k, &j) in rhs_cols.iter().enumerate() {
             let colbuf = &mut rhs[k * m..(k + 1) * m];
-            block_lus[g].solve_in_place(colbuf);
+            lu.solve_in_place(colbuf);
             for (ii, &v) in colbuf.iter().enumerate() {
                 if v != 0.0 {
                     w.push(lo + ii, j, v);
@@ -461,23 +493,7 @@ fn build_level(a: &Csr, gis: &GroupIndependentSet, cfg: &ArmsConfig) -> Result<A
             }
         }
     }
-    let w = w.to_csr();
-
-    // Ĉ = C − E W, with per-row relative dropping.
-    let ew = e.matmul(&w)?;
-    let chat = c.add(-1.0, &ew)?;
-    let reduced = drop_relative(&chat, cfg.drop_tol);
-
-    Ok(ArmsLevel {
-        perm: gis.perm.clone(),
-        n_ind,
-        group_off: gis.group_off.clone(),
-        block_lus,
-        f,
-        e,
-        c,
-        reduced,
-    })
+    w.to_csr()
 }
 
 /// Drops entries below `tol · ‖row‖₂ / √(row length)`; diagonals always kept.
@@ -506,6 +522,7 @@ fn drop_relative(a: &Csr, tol: f64) -> Csr {
 mod tests {
     use super::*;
     use crate::gmres::{FGmres, GmresConfig};
+    use crate::ilut_reference::{factor_mismatch, ilut_reference};
     use crate::precond::Preconditioner;
     use parapre_sparse::Coo;
 
@@ -715,5 +732,146 @@ mod tests {
         assert_eq!(lvl.e_block().n_cols(), lvl.n_ind());
         assert_eq!(lvl.c_block().n_rows(), lvl.n_coarse());
         assert_eq!(lvl.reduced().n_rows(), lvl.n_coarse());
+    }
+
+    /// Reference for [`coupling_solve`]: the original per-group build,
+    /// which zero-fills a fresh coarse-sized column map for every group.
+    fn coupling_solve_per_group(f: &Csr, block_lus: &[DenseLu], group_off: &[usize]) -> Csr {
+        let (n_ind, nc) = (f.n_rows(), f.n_cols());
+        let mut w = Coo::new(n_ind, nc);
+        let mut rhs_cols: Vec<usize> = Vec::new();
+        for (g, lu) in block_lus.iter().enumerate() {
+            let lo = group_off[g];
+            let hi = group_off[g + 1];
+            let m = hi - lo;
+            rhs_cols.clear();
+            for i in lo..hi {
+                rhs_cols.extend_from_slice(f.row(i).0);
+            }
+            rhs_cols.sort_unstable();
+            rhs_cols.dedup();
+            if rhs_cols.is_empty() {
+                continue;
+            }
+            let mut col_pos = vec![usize::MAX; nc];
+            for (k, &j) in rhs_cols.iter().enumerate() {
+                col_pos[j] = k;
+            }
+            let mut rhs = vec![0.0; m * rhs_cols.len()];
+            for i in lo..hi {
+                let (cols, vals) = f.row(i);
+                for (&j, &v) in cols.iter().zip(vals) {
+                    rhs[col_pos[j] * m + (i - lo)] = v;
+                }
+            }
+            for (k, &j) in rhs_cols.iter().enumerate() {
+                let colbuf = &mut rhs[k * m..(k + 1) * m];
+                lu.solve_in_place(colbuf);
+                for (ii, &v) in colbuf.iter().enumerate() {
+                    if v != 0.0 {
+                        w.push(lo + ii, j, v);
+                    }
+                }
+            }
+        }
+        w.to_csr()
+    }
+
+    /// Reference ARMS build: clones every level's matrix, forms `B⁻¹ F`
+    /// with a per-group column map and factors the last level with the
+    /// reference ILUT. Returns each level's group count and reduced
+    /// matrix, and the last-level factor with its pivot fixes.
+    #[allow(clippy::type_complexity)]
+    fn reference_factor(
+        a: &Csr,
+        cfg: &ArmsConfig,
+        forced_coarse: &[bool],
+    ) -> (Vec<(usize, Csr)>, (Csr, usize)) {
+        let mut levels = Vec::new();
+        let mut cur = a.clone();
+        let mut forced = forced_coarse.to_vec();
+        for _ in 1..cfg.n_levels.max(1) {
+            if cur.n_rows() <= cfg.min_reduced {
+                break;
+            }
+            let gis = group_independent_set(&cur, cfg.group_size, &forced);
+            if gis.n_ind == 0 {
+                break;
+            }
+            let n_groups = gis.group_off.len() - 1;
+            let level = build_level(&cur, gis, cfg, coupling_solve_per_group).unwrap();
+            let mut new_forced = vec![false; level.n_coarse()];
+            for (k, flag) in new_forced.iter_mut().enumerate() {
+                *flag = forced[level.perm.old_of(level.n_ind + k)];
+            }
+            cur = level.reduced.clone();
+            forced = new_forced;
+            levels.push((n_groups, level.reduced));
+        }
+        let last = ilut_reference(&cur, cfg.ilut.drop_tol, cfg.ilut.fill);
+        (levels, last)
+    }
+
+    /// Unsymmetric 5-point convection–diffusion operator on an `nx × nx`
+    /// grid with a position-dependent wind.
+    fn convection_diffusion_2d(nx: usize) -> Csr {
+        let n = nx * nx;
+        let mut coo = Coo::new(n, n);
+        for iy in 0..nx {
+            for ix in 0..nx {
+                let i = iy * nx + ix;
+                let bx = 0.3 + 0.5 * (iy as f64 / nx as f64);
+                let by = 0.2 * ((ix as f64) * 0.37).sin();
+                coo.push(i, i, 4.0);
+                if ix > 0 {
+                    coo.push(i, i - 1, -1.0 - bx);
+                }
+                if ix + 1 < nx {
+                    coo.push(i, i + 1, -1.0 + bx);
+                }
+                if iy > 0 {
+                    coo.push(i, i - nx, -1.0 - by);
+                }
+                if iy + 1 < nx {
+                    coo.push(i, i + nx, -1.0 + by);
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn hoisted_column_map_matches_per_group_build_bitwise() {
+        // Schur 2 pins its trailing interface unknowns to the coarse set;
+        // pin the last two grid rows the same way.
+        let nx = 60;
+        let a = convection_diffusion_2d(nx);
+        let n = a.n_rows();
+        let forced: Vec<bool> = (0..n).map(|i| i >= n - 2 * nx).collect();
+        let bits = |m: &Csr| m.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // The three-level run keeps every entry: the greedy group search
+        // follows row patterns only, so it needs the structurally
+        // symmetric reduced matrices that no dropping guarantees.
+        for (n_levels, group_size, drop_tol) in [(2, 8, 1e-3), (2, 4, 1e-3), (3, 4, 0.0)] {
+            let cfg = ArmsConfig {
+                n_levels,
+                group_size,
+                drop_tol,
+                ..ArmsConfig::default()
+            };
+            let arms = Arms::factor_with_coarse(&a, &cfg, &forced).unwrap();
+            let (levels, (last, last_fixes)) = reference_factor(&a, &cfg, &forced);
+            assert_eq!(arms.n_levels(), levels.len());
+            assert_eq!(levels.len(), n_levels - 1);
+            assert!(levels[0].0 >= 200, "only {} groups", levels[0].0);
+            for (lvl, (_, reduced)) in arms.levels().iter().zip(&levels) {
+                assert_eq!(lvl.reduced().row_ptr(), reduced.row_ptr());
+                assert_eq!(lvl.reduced().col_idx(), reduced.col_idx());
+                assert_eq!(bits(lvl.reduced()), bits(reduced));
+            }
+            let got = arms.last_factors();
+            let diff = factor_mismatch((got.merged(), got.pivot_fixes()), (&last, last_fixes));
+            assert!(diff.is_none(), "levels {n_levels}: last factor {diff:?}");
+        }
     }
 }

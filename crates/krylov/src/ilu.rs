@@ -13,6 +13,8 @@
 
 use crate::precond::Preconditioner;
 use parapre_sparse::{ops, Csr, Error, FactorReport, Result, SweepLevels};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The diagonal-shift retry ladder: relative shifts applied to the
 /// diagonal (scaled by each row's norm) when an unshifted factorization
@@ -115,13 +117,15 @@ impl LuFactors {
 
     /// Solves `L U x = b` in place (`x` holds `b` on entry).
     ///
-    /// When the caller's thread budget allows more than one worker
-    /// (see `parapre_sparse::parallel`), the sweep runs level-scheduled
-    /// with wide levels fanned out across the pool; the level order
-    /// respects every dependency, so the result is bitwise identical to
-    /// the sequential sweep either way.
+    /// When the shared worker pool can fan out (the `parallel` feature is
+    /// on and the caller's thread budget allows more than one worker, see
+    /// `parapre_sparse::parallel::can_fan_out`), the sweep runs
+    /// level-scheduled with wide levels spread across the pool. Otherwise
+    /// it visits the rows in natural order, which keeps memory access
+    /// sequential. The level order respects every dependency, so the
+    /// result is bitwise identical either way.
     pub fn solve_in_place(&self, x: &mut [f64]) {
-        if parapre_sparse::parallel::current_budget() > 1 {
+        if parapre_sparse::parallel::can_fan_out() {
             return self.solve_in_place_leveled(x);
         }
         let n = self.dim();
@@ -398,41 +402,40 @@ impl Ilut {
                 found: a.n_cols(),
             });
         }
-        // U rows built so far (strict upper part), flat storage.
-        let mut u_row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut u_cols: Vec<usize> = Vec::new();
-        let mut u_vals: Vec<f64> = Vec::new();
-        let mut u_diag: Vec<f64> = Vec::with_capacity(n);
-        u_row_ptr.push(0);
-        // L rows (strict lower part).
-        let mut l_row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut l_cols: Vec<usize> = Vec::new();
-        let mut l_vals: Vec<f64> = Vec::new();
-        l_row_ptr.push(0);
+        // The merged factor, built row by row: kept L multipliers, the
+        // pivot, kept U entries. Row k's strict upper part is
+        // `diag_pos[k] + 1..row_ptr[k + 1]`, read back while eliminating.
+        let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
+        let mut col_idx: Vec<usize> = Vec::with_capacity(a.nnz());
+        let mut vals: Vec<f64> = Vec::with_capacity(a.nnz());
+        let mut diag_pos: Vec<usize> = Vec::with_capacity(n);
+        row_ptr.push(0);
 
         let mut w = vec![0.0f64; n]; // dense accumulator
         let mut in_w = vec![false; n];
         let mut upper_list: Vec<usize> = Vec::new();
-        let mut pending = std::collections::BTreeSet::new(); // lower indices to eliminate
+        // Lower columns still to eliminate, popped smallest first. Fill
+        // from `U_row(k)` lands only on columns > k, so every column is
+        // pushed once and the pops visit the row in ascending column order.
+        let mut pending: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+        let mut lower_kept: Vec<(usize, f64)> = Vec::new();
+        let mut upper_kept: Vec<(usize, f64)> = Vec::new();
         let mut pivot_fixes = 0usize;
 
         for i in 0..n {
-            let (cols, vals) = a.row(i);
+            let (cols, row_vals) = a.row(i);
             let rownorm = {
-                let s: f64 = vals.iter().map(|v| v * v).sum();
+                let s: f64 = row_vals.iter().map(|v| v * v).sum();
                 (s / cols.len().max(1) as f64).sqrt()
             };
             let tau_i = cfg.drop_tol * rownorm;
             upper_list.clear();
-            pending.clear();
             let mut have_diag = false;
-            for (&j, &v) in cols.iter().zip(vals) {
+            for (&j, &v) in cols.iter().zip(row_vals) {
                 w[j] = v;
                 in_w[j] = true;
                 match j.cmp(&i) {
-                    std::cmp::Ordering::Less => {
-                        pending.insert(j);
-                    }
+                    std::cmp::Ordering::Less => pending.push(Reverse(j)),
                     std::cmp::Ordering::Equal => have_diag = true,
                     std::cmp::Ordering::Greater => upper_list.push(j),
                 }
@@ -441,27 +444,26 @@ impl Ilut {
                 w[i] = 0.0;
                 in_w[i] = true;
             }
-            let mut lower_kept: Vec<(usize, f64)> = Vec::new();
-            while let Some(k) = pending.pop_first() {
-                let lik = w[k] / u_diag[k];
+            lower_kept.clear();
+            while let Some(Reverse(k)) = pending.pop() {
+                let dk = diag_pos[k];
+                let lik = w[k] / vals[dk];
                 w[k] = 0.0;
                 in_w[k] = false;
                 if lik.abs() < tau_i {
                     continue; // drop the multiplier, skip the update
                 }
                 // w -= lik * U_row(k)   (strict upper part of row k)
-                for idx in u_row_ptr[k]..u_row_ptr[k + 1] {
-                    let j = u_cols[idx];
-                    let upd = lik * u_vals[idx];
+                for idx in dk + 1..row_ptr[k + 1] {
+                    let j = col_idx[idx];
+                    let upd = lik * vals[idx];
                     if in_w[j] {
                         w[j] -= upd;
                     } else {
                         w[j] = -upd;
                         in_w[j] = true;
                         match j.cmp(&i) {
-                            std::cmp::Ordering::Less => {
-                                pending.insert(j);
-                            }
+                            std::cmp::Ordering::Less => pending.push(Reverse(j)),
                             std::cmp::Ordering::Equal => {}
                             std::cmp::Ordering::Greater => upper_list.push(j),
                         }
@@ -479,10 +481,9 @@ impl Ilut {
             }
             lower_kept.sort_unstable_by_key(|&(j, _)| j);
             for &(j, v) in &lower_kept {
-                l_cols.push(j);
-                l_vals.push(v);
+                col_idx.push(j);
+                vals.push(v);
             }
-            l_row_ptr.push(l_cols.len());
 
             // Diagonal with zero-pivot protection.
             let mut dii = w[i];
@@ -493,49 +494,34 @@ impl Ilut {
                 dii = if dii < 0.0 { -fallback } else { fallback };
                 pivot_fixes += 1;
             }
-            u_diag.push(dii);
+            diag_pos.push(col_idx.len());
+            col_idx.push(i);
+            vals.push(dii);
 
             // Select the p largest upper entries above the drop threshold.
-            let mut upper_kept: Vec<(usize, f64)> = upper_list
-                .iter()
-                .filter_map(|&j| {
-                    let v = w[j];
-                    w[j] = 0.0;
-                    in_w[j] = false;
-                    (v.abs() >= tau_i).then_some((j, v))
-                })
-                .collect();
+            upper_kept.clear();
+            upper_kept.extend(upper_list.iter().filter_map(|&j| {
+                let v = w[j];
+                w[j] = 0.0;
+                in_w[j] = false;
+                (v.abs() >= tau_i).then_some((j, v))
+            }));
             if upper_kept.len() > cfg.fill {
                 upper_kept.sort_unstable_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
                 upper_kept.truncate(cfg.fill);
             }
             upper_kept.sort_unstable_by_key(|&(j, _)| j);
             for &(j, v) in &upper_kept {
-                u_cols.push(j);
-                u_vals.push(v);
-            }
-            u_row_ptr.push(u_cols.len());
-        }
-
-        // Merge L, diag, U into a single CSR factor.
-        let nnz = l_cols.len() + n + u_cols.len();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
-        row_ptr.push(0);
-        for i in 0..n {
-            for idx in l_row_ptr[i]..l_row_ptr[i + 1] {
-                col_idx.push(l_cols[idx]);
-                vals.push(l_vals[idx]);
-            }
-            col_idx.push(i);
-            vals.push(u_diag[i]);
-            for idx in u_row_ptr[i]..u_row_ptr[i + 1] {
-                col_idx.push(u_cols[idx]);
-                vals.push(u_vals[idx]);
+                col_idx.push(j);
+                vals.push(v);
             }
             row_ptr.push(col_idx.len());
         }
+        // The factor lives as long as its preconditioner: return the
+        // growth slack of the two arrays.
+        col_idx.shrink_to_fit();
+        vals.shrink_to_fit();
+
         let lu = Csr::from_parts_unchecked(n, n, row_ptr, col_idx, vals);
         parapre_trace::counter("factor.fill_nnz", lu.nnz() as u64);
         LuFactors::from_merged(lu, pivot_fixes)
@@ -552,7 +538,9 @@ impl Ilut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ilut_reference::{factor_mismatch, ilut_reference};
     use parapre_sparse::Coo;
+    use proptest::prelude::*;
 
     /// 1-D Laplacian tridiag(-1, 2, -1).
     fn laplacian_1d(n: usize) -> Csr {
@@ -919,5 +907,128 @@ mod tests {
         for (u, v) in x.iter().zip(&x_true) {
             assert!((u - v).abs() < 1e-8);
         }
+    }
+
+    #[test]
+    fn solve_takes_natural_order_sweep_unless_pool_fans_out() {
+        // Without the `parallel` feature the pool runs a level's chunks one
+        // after another, so even at a budget of 2 the natural-order sweep
+        // must be taken. Both sweeps give the same bits.
+        let a = laplacian_2d(9);
+        let f = Ilut::factor(
+            &a,
+            &IlutConfig {
+                drop_tol: 1e-4,
+                fill: 12,
+            },
+        )
+        .unwrap();
+        let b: Vec<f64> = (0..a.n_rows()).map(|i| (i as f64 * 0.3).cos()).collect();
+        let _budget = parapre_sparse::parallel::enter_budget(2);
+        assert_eq!(
+            parapre_sparse::parallel::can_fan_out(),
+            cfg!(feature = "parallel")
+        );
+        let mut x1 = b.clone();
+        f.solve_in_place(&mut x1);
+        let mut x2 = b;
+        f.solve_in_place_leveled(&mut x2);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x1), bits(&x2));
+    }
+
+    /// Random sparse matrix aimed at ILUT's corner cases: values from a
+    /// small set (ties in `|value|`, stored zeros), rows without a
+    /// diagonal entry or with a zero one, and rows with a dense lower or
+    /// upper part. Those offer more candidates than the fill cap, and
+    /// more than 32: `sort_unstable_by` only reorders ties in longer
+    /// slices, so only they pin down the selection's tie-breaking.
+    fn awkward(n: usize, seed: u64) -> Csr {
+        const VALUES: [f64; 8] = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0];
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        // Keep rates of the strict lower and upper parts, in eighths. A
+        // sparse upper part leaves the multipliers close to quotients of
+        // the stored values, so ties among them are common too.
+        let lower_density = 1 + next() % 4;
+        let upper_density = next() % 5;
+        let mut coo = Coo::new(n, n);
+        for i in 0..n {
+            let (dense_lower, dense_upper) = (next() % 6 == 0, next() % 8 == 0);
+            for j in 0..n {
+                let keep = match j.cmp(&i) {
+                    std::cmp::Ordering::Equal => next() % 5 != 0,
+                    std::cmp::Ordering::Less => dense_lower || next() % 8 < lower_density,
+                    std::cmp::Ordering::Greater => dense_upper || next() % 8 < upper_density,
+                };
+                if keep {
+                    coo.push(i, j, VALUES[(next() % 8) as usize]);
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// `Ilut::factor` against the reference elimination, bit for bit. A
+    /// factor the new kernel rejects as non-finite must be non-finite in
+    /// the reference too.
+    fn matches_reference(a: &Csr, cfg: &IlutConfig) -> std::result::Result<(), String> {
+        let (want, want_fixes) = ilut_reference(a, cfg.drop_tol, cfg.fill);
+        match Ilut::factor(a, cfg) {
+            Ok(f) => match factor_mismatch((f.merged(), f.pivot_fixes()), (&want, want_fixes)) {
+                None => Ok(()),
+                Some(diff) => Err(diff),
+            },
+            Err(Error::NonFinitePivot(_)) if want.vals().iter().any(|v| !v.is_finite()) => Ok(()),
+            Err(e) => Err(format!("factor failed: {e:?}")),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn ilut_matches_reference_bitwise(
+            n in 1usize..72,
+            seed in any::<u64>(),
+            fill in 1usize..6,
+            tol in 0usize..3,
+        ) {
+            let a = awkward(n, seed);
+            let cfg = IlutConfig { drop_tol: [0.0, 1e-3, 0.3][tol], fill };
+            let outcome = matches_reference(&a, &cfg);
+            prop_assert!(outcome.is_ok(), "n={n} seed={seed} {cfg:?}: {:?}", outcome);
+        }
+    }
+
+    #[test]
+    fn ilut_reference_cases_hit_every_corner() {
+        // The generator must actually produce what the oracle test claims
+        // to cover: missing diagonals, pivot fixes, rows with more
+        // candidates than the fill cap, and ties in |value| among them.
+        let (mut no_diag, mut fixes, mut over_fill, mut ties) = (false, false, false, false);
+        for seed in 0..64u64 {
+            let a = awkward(60, seed);
+            for i in 0..a.n_rows() {
+                let (cols, vals) = a.row(i);
+                no_diag |= !cols.contains(&i);
+                let lower: Vec<f64> = cols
+                    .iter()
+                    .zip(vals)
+                    .filter(|&(&j, _)| j < i)
+                    .map(|(_, v)| v.abs())
+                    .collect();
+                over_fill |= lower.len() > 32;
+                ties |= (1..lower.len()).any(|k| lower[..k].contains(&lower[k]));
+            }
+            let (_, f) = ilut_reference(&a, 0.0, 2);
+            fixes |= f > 0;
+        }
+        assert!(no_diag && fixes && over_fill && ties);
     }
 }

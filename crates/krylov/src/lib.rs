@@ -38,6 +38,8 @@ pub mod bicgstab;
 pub mod cg;
 pub mod gmres;
 pub mod ilu;
+#[cfg(test)]
+mod ilut_reference;
 pub mod ilutp;
 pub mod op;
 pub mod precond;

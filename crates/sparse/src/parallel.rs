@@ -13,7 +13,8 @@
 //! `max(1, cores / P)` by default, so ranks still fan out a bounded number
 //! of workers instead of falling back to scalar loops.
 //!
-//! * [`current_budget`] / [`enter_budget`] — read / scope the budget.
+//! * [`current_budget`] / [`enter_budget`] — read / scope the budget;
+//!   [`can_fan_out`] — whether the pool can actually run parts at once.
 //! * [`rank_budget`] — the budget a universe launcher assigns to each rank:
 //!   `PARAPRE_THREADS` (or an explicit config override) wins, otherwise
 //!   `⌊outer/P⌋`, always ≥ 1 and never above the launcher's own budget (so
@@ -50,6 +51,16 @@ pub fn machine_parallelism() -> usize {
 /// default to the whole machine.
 pub fn current_budget() -> usize {
     BUDGET.with(|b| b.get()).unwrap_or_else(machine_parallelism)
+}
+
+/// Whether a kernel on the calling thread can run parts concurrently:
+/// the `parallel` feature is on and the budget allows more than one
+/// thread. Without the feature [`run_parts`] and [`for_each_chunk_mut`]
+/// run their parts one after another, so a kernel whose parallel form
+/// does extra work (a different visiting order, a scatter copy) should
+/// take its plain serial path whenever this is `false`.
+pub fn can_fan_out() -> bool {
+    cfg!(feature = "parallel") && current_budget() > 1
 }
 
 /// RAII guard returned by [`enter_budget`]; dropping it restores the
